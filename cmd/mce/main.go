@@ -51,10 +51,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	hbbmc "github.com/graphmining/hbbmc"
+	"github.com/graphmining/hbbmc/internal/cliqueenc"
 )
 
 // Exit codes: early stops requested via -maxcliques/-timeout are reported
@@ -140,7 +142,7 @@ func main() {
 	// exit-code-3/4 paths. closeOutput is idempotent; a flush or close
 	// failure is a real error (partial results on disk) and exits 1.
 	var (
-		w       *bufio.Writer
+		w       *cliqueWriter
 		outFile *os.File
 	)
 	if !*quiet {
@@ -153,7 +155,7 @@ func main() {
 			outFile = f
 			dst = f
 		}
-		w = bufio.NewWriter(dst)
+		w = newCliqueWriter(dst)
 	}
 	closeOutput := func() {
 		if w != nil {
@@ -198,16 +200,9 @@ func main() {
 		fatal(err)
 	}
 	writeClique := func(c []int32) {
-		if w == nil {
-			return
+		if w != nil {
+			w.WriteClique(c)
 		}
-		for i, v := range c {
-			if i > 0 {
-				fmt.Fprint(w, " ")
-			}
-			fmt.Fprint(w, v)
-		}
-		fmt.Fprintln(w)
 	}
 
 	// Dispatch on the query flags. Every path leaves its results in the
@@ -310,6 +305,27 @@ func main() {
 		}
 		os.Exit(code)
 	}
+}
+
+// cliqueWriter is mce's clique output: one line of space-separated vertex
+// ids per clique, encoded by cliqueenc.AppendText straight into the free
+// tail of a 64 KiB bufio.Writer, so a clique costs no allocation and no
+// per-vertex call. A write error latches in the bufio.Writer and surfaces
+// from Flush.
+type cliqueWriter struct {
+	*bufio.Writer
+}
+
+func newCliqueWriter(dst io.Writer) *cliqueWriter {
+	return &cliqueWriter{bufio.NewWriterSize(dst, 64<<10)}
+}
+
+// WriteClique writes c as one output line.
+func (w *cliqueWriter) WriteClique(c []int32) {
+	// AvailableBuffer is the writer's own free space: appending there and
+	// writing it back is a copy-free buffered write (append reallocates
+	// only when a line outgrows the space left).
+	_, _ = w.Write(cliqueenc.AppendText(w.AvailableBuffer(), c))
 }
 
 // jsonSummary is the -json run report: one line of JSON on stderr. Durations

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	hbbmc "github.com/graphmining/hbbmc"
+	"github.com/graphmining/hbbmc/internal/cliqueenc"
 	"github.com/graphmining/hbbmc/internal/distrib"
 	"github.com/graphmining/hbbmc/internal/obs"
 )
@@ -43,11 +44,12 @@ const (
 	shardFatal              // incompatible or invalid: fail the whole job
 )
 
-// shardResult is one successful shard: its buffered cliques (empty in count
-// mode), the counters from its stream trailer or terminal status, and the
-// worker's span timeline to merge under the coordinator's trace.
+// shardResult is one successful shard: its buffered clique records (the
+// stream's NDJSON lines verbatim, newline-terminated; empty in count mode),
+// the counters from its stream trailer or terminal status, and the worker's
+// span timeline to merge under the coordinator's trace.
 type shardResult struct {
-	cliques [][]int32
+	records []byte
 	stats   *hbbmc.Stats
 	peer    string
 	trace   *obs.TraceView
@@ -355,16 +357,20 @@ func (co *coordinator) deliver(ctx context.Context, res *shardResult) {
 		}
 	}
 	if co.j.cliques != nil {
-		for _, c := range res.cliques {
-			if limit > 0 && co.delivered >= limit {
-				break
-			}
-			select {
-			case co.j.cliques <- streamItem{c: c}:
-				co.delivered++
-			case <-ctx.Done():
+		// The records are forwarded verbatim, re-chunked to this job's
+		// chunk size; the MaxCliques cut counts lines.
+		chunks := newChunker(co.j, ctx.Done(), co.s.obs.streamStall)
+		recs := res.records
+		for len(recs) > 0 && (limit == 0 || co.delivered < limit) {
+			end := bytes.IndexByte(recs, '\n') + 1
+			if !chunks.addRecord(recs[:end]) {
 				return
 			}
+			co.delivered++
+			recs = recs[end:]
+		}
+		if !chunks.flush() {
+			return
 		}
 	} else if res.stats != nil {
 		co.delivered += res.stats.Cliques
@@ -513,11 +519,10 @@ func classifyDispatchErr(ctx, shCtx context.Context) shardVerdict {
 	return shardRetry
 }
 
-// shardLine decodes one NDJSON record of a shard stream: a clique line
-// ({"c":[...]}), a checkpoint marker ({"ckpt":W}) or the trailer
-// ({"done":true,...}).
+// shardLine decodes one non-clique NDJSON record of a shard stream: a
+// checkpoint marker ({"ckpt":W}) or the trailer ({"done":true,...}).
+// consumeStream buffers clique records ({"c":[...]}) as bytes instead.
 type shardLine struct {
-	C          []int32        `json:"c"`
 	Ckpt       int            `json:"ckpt,omitempty"`
 	Done       bool           `json:"done"`
 	State      JobState       `json:"state"`
@@ -589,9 +594,11 @@ func (co *coordinator) tryShard(ctx context.Context, d distrib.Descriptor, peer 
 }
 
 // consumeStream reads a shard's NDJSON clique stream to its trailer,
-// buffering every clique. Only a trailer reporting a complete run (done, or
-// stopped by its own max_cliques budget) counts as success; a truncated or
-// corrupt stream is a transient failure and the buffer is discarded.
+// buffering every clique record as raw bytes for deliver to forward
+// verbatim. Each clique line passes cliqueenc's structural check instead of
+// a JSON decode. Only a trailer reporting a complete run (done, or stopped
+// by its own max_cliques budget) counts as success; a truncated or corrupt
+// stream is a transient failure and the buffer is discarded.
 func (co *coordinator) consumeStream(ctx, shCtx context.Context, peer, id string) (*shardResult, shardVerdict, error) {
 	req, err := http.NewRequestWithContext(shCtx, http.MethodGet, peer+"/v1/jobs/"+id+"/cliques", nil)
 	if err != nil {
@@ -613,6 +620,12 @@ func (co *coordinator) consumeStream(ctx, shCtx context.Context, peer, id string
 		if len(line) == 0 {
 			continue
 		}
+		if cliqueenc.IsNDJSONLine(line) {
+			res.records = append(append(res.records, line...), '\n')
+			continue
+		}
+		// Anything else must decode as a marker or the trailer; a damaged
+		// clique record fails here or lands in the default case.
 		var rec shardLine
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, shardRetry, fmt.Errorf("peer %s job %s: corrupt stream record: %v", peer, id, err)
@@ -625,8 +638,6 @@ func (co *coordinator) consumeStream(ctx, shCtx context.Context, peer, id string
 				return res, shardOK, nil
 			}
 			return nil, shardRetry, fmt.Errorf("peer %s job %s ended %s (%s%s)", peer, id, rec.State, rec.StopReason, rec.Error)
-		case rec.C != nil:
-			res.cliques = append(res.cliques, rec.C)
 		case rec.Ckpt > 0:
 			// A journaled worker's checkpoint marker. The coordinator's own
 			// buffer-then-forward barrier already guarantees exactly-once,

@@ -36,16 +36,6 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateStopped || s == StateFailed
 }
 
-// streamItem is one element of a job's clique channel: either a clique on
-// its way to the NDJSON stream, or (ckpt > 0) a checkpoint marker telling
-// the client that every clique of residue + branches [0, ckpt) has been
-// delivered and the watermark is durable — the cursor a reconnecting client
-// hands back as ?resume_after=.
-type streamItem struct {
-	c    []int32
-	ckpt int
-}
-
 // Job is one enumeration or count run against a registered dataset. The
 // mutable fields are guarded by mu; the clique channel is the bounded pipe
 // between the enumeration's Visitor and the NDJSON stream handler — a full
@@ -119,10 +109,20 @@ type Job struct {
 	// it is the signal that reaches a job still waiting in admission.
 	cancelled   chan struct{}
 	cancelOnce  sync.Once
-	cliques     chan streamItem // nil for count jobs
+	cliques     chan streamItem // nil for the scalar job types
+	chunk       int             // cliques per stream chunk (streamShape)
 	streamClaim atomic.Bool
 	delivered   atomic.Int64
 	done        chan struct{} // closed when the state turns terminal
+}
+
+// openStream gives a clique-streaming job its channel, shaped by
+// streamShape for a stream buffer of buffer cliques. Called before the job
+// is shared.
+func (j *Job) openStream(buffer int) {
+	chunk, slots := streamShape(buffer)
+	j.chunk = chunk
+	j.cliques = make(chan streamItem, slots)
 }
 
 // resumeState is the journal-replayed progress of one restored job.
@@ -288,7 +288,7 @@ func (jm *jobManager) create(dataset, typ string, k int, opts hbbmc.Options, q h
 	if typ == "enumerate" || typ == "top_k" {
 		// The job types that deliver cliques over /cliques get a stream
 		// channel; the scalar-result types report through Stats instead.
-		j.cliques = make(chan streamItem, buffer)
+		j.openStream(buffer)
 	}
 	jm.jobs[j.ID] = j
 	jm.order = append(jm.order, j.ID)

@@ -25,8 +25,9 @@ type serverObs struct {
 	// phases observe the per-phase enumeration timers of jobs that ran with
 	// phase timers enabled, indexed like core.Stats.PhaseTimes.
 	phases [4]*obs.Histogram
-	// streamStall observes how long the enumeration blocked on the full
-	// clique channel waiting for the streaming client.
+	// streamStall observes how long a clique producer blocked on the full
+	// stream channel waiting for the streaming client, once per stalled
+	// chunk send.
 	streamStall *obs.Histogram
 	// sessionBuild observes cache-miss session construction (parse-free
 	// preprocessing); cache hits cost nothing and are not observed.
@@ -58,7 +59,7 @@ func newServerObs(m *metrics) *serverObs {
 			`phase="`+phase+`"`, obs.FineBuckets())
 	}
 	o.streamStall = r.Histogram("mced_stream_stall_seconds",
-		"Time the enumeration blocked on a full clique channel waiting for the streaming client.",
+		"Time a clique producer blocked on a full stream channel waiting for the streaming client, per stalled chunk send.",
 		"", obs.FineBuckets())
 	o.sessionBuild = r.Histogram("mced_session_build_seconds",
 		"Session construction time on cache misses (ordering preprocessing).", "", obs.LatencyBuckets())

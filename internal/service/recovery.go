@@ -181,7 +181,7 @@ func (s *Server) restoreJob(jr *journal.JobReplay) (*Job, bool) {
 	}
 	j.mu.Unlock()
 	if streaming {
-		j.cliques = make(chan streamItem, s.streamBufferFor(req.Buffer))
+		j.openStream(s.streamBufferFor(req.Buffer))
 	}
 	return j, reqOK
 }

@@ -417,6 +417,14 @@ func TestGracefulShutdownResume(t *testing.T) {
 		_, data := a.do("POST", "/v1/jobs", map[string]any{"dataset": "er", "mode": "count", "workers": 1})
 		countResp <- data
 	}()
+	// The shutdown below must find the count job already created (past the
+	// draining check); otherwise its POST races the shutdown and gets 503.
+	for deadline := time.Now().Add(10 * time.Second); a.metric("jobs_type_count") < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the count job was never created")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Stream until the first checkpoint marker, then SIGTERM the daemon
 	// while the stream is live.

@@ -51,7 +51,7 @@ type jobRequest struct {
 	Workers    int    `json:"workers"`     // ≤0 = 1, clamped to the slot capacity
 	MaxCliques int64  `json:"max_cliques"` // 0 = unlimited
 	Timeout    string `json:"timeout"`     // Go duration, e.g. "30s"; "" = none
-	Buffer     int    `json:"buffer"`      // stream channel capacity; 0 = server default
+	Buffer     int    `json:"buffer"`      // stream buffer in cliques; 0 = server default
 	// PhaseTimers opts this job into per-phase timers (universe/pivot/et/
 	// emit), reported in Stats and fed to the mced_phase_seconds histograms;
 	// Config.PhaseTimers turns them on server-wide instead.
@@ -131,8 +131,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	typ := req.Type
@@ -405,13 +404,12 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 // it can append a durable checkpoint AND push the matching {"ckpt":W}
 // marker into the same stream with nothing out of order on either side.
 // base seeds the cumulative totals when the run resumes a durable prefix.
-func (s *Server) enumerateHook(ctx context.Context, j *Job, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
+func (s *Server) enumerateHook(j *Job, chunks *chunker, base journal.Ckpt) func(lo, hi int, cliques int64, max int) {
 	cum := base.Cliques
 	maxSize := base.MaxSize
 	last := time.Now()
 	prevW := j.Query.BranchLo
 	interval := s.cfg.CheckpointInterval
-	done := ctx.Done()
 	return func(lo, hi int, cliques int64, max int) {
 		cum += cliques
 		if max > maxSize {
@@ -422,6 +420,11 @@ func (s *Server) enumerateHook(ctx context.Context, j *Job, base journal.Ckpt) f
 		if hi < 1 || time.Since(last) < interval {
 			return
 		}
+		// The cliques of [0, hi) may still sit in the open chunk: send it
+		// first, so the marker follows every one of them in the stream.
+		if !chunks.flush() {
+			return
+		}
 		if s.jnl.AppendCkpt(j.ID, hi, cum, maxSize) != nil {
 			return // wedged or failing journal: keep enumerating, stop claiming
 		}
@@ -430,10 +433,7 @@ func (s *Server) enumerateHook(ctx context.Context, j *Job, base journal.Ckpt) f
 		j.trace.RecordRange("checkpoint", prevW, hi, last, time.Since(last))
 		prevW = hi
 		last = time.Now()
-		select {
-		case j.cliques <- streamItem{ckpt: hi}:
-		case <-done:
-		}
+		chunks.send(streamItem{ckpt: hi})
 	}
 }
 
@@ -492,6 +492,12 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 	base := j.ckptBase
 	j.mu.Unlock()
 	q := j.Query
+	// chunks carries the cliques of the streaming job types (enumerate,
+	// top_k) into the stream; nil for the scalar types.
+	var chunks *chunker
+	if j.cliques != nil {
+		chunks = newChunker(j, ctx.Done(), s.obs.streamStall)
+	}
 	if journaled {
 		// The running record anchors resume compatibility: the graph CRC and
 		// branch count a restart must reproduce before skipping any branch.
@@ -499,7 +505,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 			j.Opts.SessionKey(), sess.NumTopBranches())
 		switch j.Mode {
 		case "enumerate":
-			q.BranchDone = s.enumerateHook(ctx, j, base)
+			q.BranchDone = s.enumerateHook(j, chunks, base)
 			q.OrderedEmit = true
 		case "count":
 			q.BranchDone = s.countHook(j, base, q.BranchLo)
@@ -518,46 +524,26 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 		var cliques [][]int32
 		cliques, stats, runErr = sess.TopK(ctx, j.K, q)
 		// The results exist only after the full enumeration; push them into
-		// the stream channel now. The channel may be smaller than k, so a
-		// missing client still exerts backpressure here — bounded by k lines
-		// rather than the whole enumeration.
-		done := ctx.Done()
+		// the stream now. The channel may be smaller than k, so a missing
+		// client still exerts backpressure here — bounded by k lines rather
+		// than the whole enumeration.
 		for _, c := range cliques {
-			select {
-			case j.cliques <- streamItem{c: c}:
-			case <-done:
+			if !chunks.add(c) {
+				break
 			}
 		}
+		chunks.flush()
 	case "kclique_count":
 		_, stats, runErr = sess.CountKCliques(ctx, j.K, q)
 	default:
 		var visit hbbmc.Visitor
-		if j.cliques != nil {
-			done := ctx.Done()
-			stall := s.obs.streamStall
-			visit = func(c []int32) bool {
-				cp := append([]int32(nil), c...)
-				// The bounded channel is the backpressure: a slow (or absent)
-				// streaming client blocks the enumeration here until it drains
-				// or the job is cancelled. The fast path (buffer has room)
-				// stays un-instrumented; only actual stalls are timed.
-				select {
-				case j.cliques <- streamItem{c: cp}:
-					return true
-				default:
-				}
-				stallStart := time.Now()
-				select {
-				case j.cliques <- streamItem{c: cp}:
-					stall.ObserveDuration(time.Since(stallStart))
-					return true
-				case <-done:
-					stall.ObserveDuration(time.Since(stallStart))
-					return false
-				}
-			}
+		if chunks != nil {
+			visit = chunks.add
 		}
 		stats, runErr = sess.EnumerateWith(ctx, q, visit)
+		if chunks != nil {
+			chunks.flush() // the tail chunk
+		}
 	}
 	if stats != nil && base != (journal.Ckpt{}) {
 		// A resumed run enumerated only [cursor, N); fold the durable prefix
@@ -583,171 +569,4 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, 
 		// drains the channel observes the final state and stats.
 		close(j.cliques)
 	}
-}
-
-// cliqueLine is one NDJSON record of the stream: the clique's vertex ids.
-type cliqueLine struct {
-	C []int32 `json:"c"`
-}
-
-// ckptLine is a checkpoint marker in the stream: every clique of residue +
-// branches [0, W) has been delivered above this line and the watermark is
-// durable in the journal. A client that loses the connection discards
-// whatever it received after the last marker and reconnects with
-// ?resume_after=W to see the remaining cliques exactly once.
-type ckptLine struct {
-	Ckpt int `json:"ckpt"`
-}
-
-// streamTrailer is the stream's final NDJSON record. Stats lets a
-// distributed coordinator collect a shard's counters from the same stream
-// that carried its cliques, without a follow-up status request; Trace does
-// the same for the shard's span timeline, which the coordinator merges into
-// its own job's trace.
-type streamTrailer struct {
-	Done       bool           `json:"done"`
-	State      JobState       `json:"state"`
-	StopReason string         `json:"stop_reason,omitempty"`
-	Error      string         `json:"error,omitempty"`
-	Cliques    int64          `json:"cliques"`
-	Stats      *hbbmc.Stats   `json:"stats,omitempty"`
-	Trace      *obs.TraceView `json:"trace,omitempty"`
-}
-
-// handleStreamCliques streams a job's cliques as NDJSON ({"c":[...]} per
-// line, a {"done":true,...} trailer). Exactly one client may stream a job;
-// the stream delivers every clique exactly once. Output is flushed every
-// flushEvery lines and whenever the producer pauses, so a live client sees
-// cliques promptly without a per-line flush syscall storm. A client
-// disconnect cancels the job — without its one consumer the enumeration
-// would otherwise block on the full channel until the deadline.
-//
-//hbbmc:ctxpoll
-func (s *Server) handleStreamCliques(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if j.cliques == nil {
-		writeError(w, http.StatusBadRequest, "job %s is a %s job; it has no clique stream", j.ID, j.Mode)
-		return
-	}
-	cursor := 0
-	if v := r.URL.Query().Get("resume_after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "invalid resume_after %q", v)
-			return
-		}
-		cursor = n
-	}
-	if !j.streamClaim.CompareAndSwap(false, true) {
-		writeError(w, http.StatusConflict, "job %s already has a streaming client", j.ID)
-		return
-	}
-	j.mu.Lock()
-	rs := j.resume
-	j.mu.Unlock()
-	switch {
-	case rs != nil:
-		// A journal-restored job has no producer yet: start its resume run
-		// from the client's cursor before entering the stream loop.
-		if status, err := s.startResume(j, cursor); err != nil {
-			j.streamClaim.Store(false)
-			writeError(w, status, "%v", err)
-			return
-		}
-	case cursor != 0:
-		j.streamClaim.Store(false)
-		writeError(w, http.StatusBadRequest,
-			"job %s has no journaled progress to resume; resume_after applies to restored jobs", j.ID)
-		return
-	}
-
-	drainStart := time.Now()
-	const flushEvery = 64
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
-
-	clientGone := r.Context().Done()
-	pending := 0
-	for {
-		var it streamItem
-		var open bool
-		if pending > 0 {
-			// Drain without blocking while lines are unflushed; flush on
-			// the first pause so a slow producer's cliques are not held
-			// back by the batch threshold.
-			select {
-			case it, open = <-j.cliques:
-			default:
-				flush()
-				pending = 0
-				select {
-				case it, open = <-j.cliques:
-				case <-clientGone:
-					j.requestCancel("client disconnected")
-					return
-				}
-			}
-		} else {
-			select {
-			case it, open = <-j.cliques:
-			case <-clientGone:
-				j.requestCancel("client disconnected")
-				return
-			}
-		}
-		if !open {
-			break
-		}
-		if it.ckpt > 0 {
-			// A checkpoint marker: flushed immediately so the client's
-			// resume cursor is never stuck behind the batch threshold.
-			if err := enc.Encode(ckptLine{Ckpt: it.ckpt}); err != nil {
-				j.requestCancel("client disconnected")
-				return
-			}
-			flush()
-			pending = 0
-			continue
-		}
-		if err := enc.Encode(cliqueLine{C: it.c}); err != nil {
-			j.requestCancel("client disconnected")
-			return
-		}
-		j.delivered.Add(1)
-		s.m.cliquesEmitted.Add(1)
-		if pending++; pending >= flushEvery {
-			flush()
-			pending = 0
-		}
-	}
-
-	// The channel closes only after the terminal state is recorded.
-	<-j.Done()
-	// The drain span covers the whole streaming handler; recorded before the
-	// trailer snapshots the timeline so the client (and a coordinator
-	// merging shard traces) sees it.
-	j.trace.Record("drain", drainStart, time.Since(drainStart))
-	v := j.View()
-	tv := j.trace.View()
-	_ = enc.Encode(streamTrailer{
-		Done:       true,
-		State:      v.State,
-		StopReason: v.StopReason,
-		Error:      v.Error,
-		Cliques:    j.delivered.Load(),
-		Stats:      v.Stats,
-		Trace:      &tv,
-	})
-	flush()
 }

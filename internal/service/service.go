@@ -52,6 +52,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"log/slog"
@@ -80,9 +81,10 @@ type Config struct {
 	// SessionBudget is the LRU byte budget for cached sessions, measured by
 	// Session.MemoryEstimate (0 = 1 GiB).
 	SessionBudget int64
-	// StreamBuffer is the default per-job clique channel capacity; a full
-	// channel blocks the enumeration workers (backpressure) until the
-	// streaming client catches up (0 = 1024).
+	// StreamBuffer is the default per-job stream buffer: the cliques in
+	// flight between the enumeration and the streaming client, carried as
+	// chunks (streamShape). A full buffer blocks the enumeration workers
+	// (backpressure) until the client catches up (0 = 1024).
 	StreamBuffer int
 	// MaxJobHistory bounds the retained terminal jobs (0 = 256).
 	MaxJobHistory int
@@ -430,6 +432,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxRequestBody bounds a JSON request body (job submission, dataset
+// registration): both are a few hundred bytes in practice, and an unbounded
+// decode would let one request hold arbitrary memory.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxRequestBody
+// bytes. On failure it writes the error response — 413 past the bound, 400
+// for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
+}
+
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -545,8 +569,7 @@ type registerDatasetRequest struct {
 
 func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	var req registerDatasetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if !datasetNameRE.MatchString(req.Name) {
