@@ -1,6 +1,7 @@
 package hbbmc_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +45,7 @@ func TestLoadDIMACSAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	n, _, err := countOnce(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,11 @@ func TestLoadDIMACSAPI(t *testing.T) {
 
 func TestCollectAPI(t *testing.T) {
 	g := hbbmc.GenerateMoonMoser(2)
-	cliques, stats, err := hbbmc.Collect(g, hbbmc.DefaultOptions())
+	sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliques, stats, err := sess.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +76,16 @@ func TestCollectAPI(t *testing.T) {
 
 func TestEnumerateParallelAPI(t *testing.T) {
 	g := hbbmc.GenerateSBM(5, 15, 0.5, 0.03, 21)
-	seq, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	seq, _, err := countOnce(g, hbbmc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var par int64
-	stats, err := hbbmc.EnumerateParallel(g, hbbmc.DefaultOptions(), 4, func(c []int32) { par++ })
+	stats, err := sess.EnumerateParallel(context.Background(), 4, func(c []int32) bool { par++; return true })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package hbbmc_test
 // datasets (the full 16-dataset sweep is `go run ./cmd/mcebench -all`).
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,7 +31,7 @@ func runCount(b *testing.B, g *hbbmc.Graph, opts hbbmc.Options) {
 	b.ReportAllocs()
 	var cliques int64
 	for i := 0; i < b.N; i++ {
-		n, _, err := hbbmc.Count(g, opts)
+		n, _, err := countOnce(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,9 +198,10 @@ func runCountParallel(b *testing.B, g *hbbmc.Graph, opts hbbmc.Options, workers 
 	b.Helper()
 	withProcs(b, workers)
 	b.ReportAllocs()
+	opts.Workers = workers
 	var cliques int64
 	for i := 0; i < b.N; i++ {
-		n, _, err := hbbmc.CountParallel(g, opts, workers)
+		n, _, err := countOnce(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,9 +252,14 @@ func BenchmarkParallelEmitBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			withProcs(b, 8)
 			b.ReportAllocs()
+			opts.Workers = 8
 			for i := 0; i < b.N; i++ {
+				sess, err := hbbmc.NewSession(g, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
 				var n int64
-				if _, err := hbbmc.EnumerateParallel(g, opts, 8, func([]int32) { n++ }); err != nil {
+				if _, err := sess.Enumerate(context.Background(), func([]int32) bool { n++; return true }); err != nil {
 					b.Fatal(err)
 				}
 				if n == 0 {

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -93,7 +94,11 @@ func main() {
 	fmt.Printf("mceverify: %d cliques verified (clique + maximal + distinct)\n", count)
 
 	if *recount {
-		want, _, err := hbbmc.Count(g, hbbmc.Options{Algorithm: hbbmc.BKDegen, GR: true})
+		sess, err := hbbmc.NewSession(g, hbbmc.Options{Algorithm: hbbmc.BKDegen, GR: true})
+		if err != nil {
+			fatal(err)
+		}
+		want, _, err := sess.Count(context.Background())
 		if err != nil {
 			fatal(err)
 		}

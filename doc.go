@@ -155,11 +155,11 @@
 // Stats.UniverseTime (universe install + adjacency row building),
 // Stats.PivotTime (pivot/degree scans), Stats.ETTime (early-termination
 // checks and plex construction) and Stats.EmitTime (clique delivery); the
-// mce command prints the breakdown under -phases. The contribution of the
-// fused path itself is measurable in-repo: `go test ./internal/core -bench
-// AblationUnfusedKernels` runs every framework fused and unfused back to
-// back, and `go test ./internal/bitset -bench BenchmarkKernel` compares the
-// kernels against their composed forms.
+// mce command prints the breakdown under -phases. The fused kernels are the
+// only scan path of the engine; `go test ./internal/bitset -bench
+// BenchmarkKernel` compares them against their composed forms, and `go test
+// ./internal/core -bench PivotScan` times the fused pivot scan on a dense
+// branch universe.
 //
 // # Input formats and the binary snapshot cache
 //
@@ -192,10 +192,11 @@
 // # Migrating from the one-shot functions
 //
 // The top-level Enumerate, EnumerateParallel, Count, CountParallel and
-// Collect predate sessions; they remain as thin deprecated wrappers that
-// build a throwaway session per call, so existing code keeps working
-// unchanged (including EnumerateParallel's positional workers argument,
-// now folded into Options.Workers). New code should hold a Session:
+// Collect predated sessions and have been removed. Each call built a
+// throwaway session, so a one-line migration keeps the old behaviour: build
+// the session, then query it (EnumerateParallel's positional workers
+// argument becomes Options.Workers; Count and Collect map to the Session
+// methods of the same name):
 //
 //	stats, err := hbbmc.Enumerate(g, opts, emit)        // before
 //

@@ -66,37 +66,14 @@ func ExampleSession_Enumerate() {
 	// 5 true
 }
 
-// ExampleEnumerate shows the deprecated one-shot streaming API, kept as a
-// thin wrapper over a throwaway session. New code should use NewSession
-// (cached preprocessing, context cancellation, early stop).
-func ExampleEnumerate() {
-	b := hbbmc.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	b.AddEdge(2, 3)
-	g := b.MustBuild()
-
-	var cliques [][]int32
-	_, _ = hbbmc.Enumerate(g, hbbmc.DefaultOptions(), func(c []int32) {
-		cc := append([]int32(nil), c...)
-		sort.Slice(cc, func(i, j int) bool { return cc[i] < cc[j] })
-		cliques = append(cliques, cc)
-	})
-	sort.Slice(cliques, func(i, j int) bool { return fmt.Sprint(cliques[i]) < fmt.Sprint(cliques[j]) })
-	for _, c := range cliques {
-		fmt.Println(c)
-	}
-	// Output:
-	// [0 1 2]
-	// [2 3]
-}
-
-// ExampleCount compares two engines on the same graph.
-func ExampleCount() {
+// ExampleSession_Count compares two engines on the same graph.
+func ExampleSession_Count() {
 	g := hbbmc.GenerateMoonMoser(4) // 3^4 = 81 maximal cliques
-	hybrid, _, _ := hbbmc.Count(g, hbbmc.DefaultOptions())
-	classic, _, _ := hbbmc.Count(g, hbbmc.Options{Algorithm: hbbmc.BKDegen})
+	ctx := context.Background()
+	hybridSess, _ := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+	classicSess, _ := hbbmc.NewSession(g, hbbmc.Options{Algorithm: hbbmc.BKDegen})
+	hybrid, _, _ := hybridSess.Count(ctx)
+	classic, _, _ := classicSess.Count(ctx)
 	fmt.Println(hybrid, classic)
 	// Output:
 	// 81 81

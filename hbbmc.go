@@ -181,29 +181,6 @@ func InnerChoices() string { return core.InnerChoices() }
 // EdgeOrderChoices returns the accepted ParseEdgeOrder spellings.
 func EdgeOrderChoices() string { return core.EdgeOrderChoices() }
 
-// Enumerate runs the configured algorithm and invokes emit once per maximal
-// clique. The slice passed to emit is reused between calls; copy it if you
-// retain it. emit may be nil to only collect statistics.
-//
-// Deprecated: Enumerate redoes the O(δm) preprocessing on every call and
-// cannot be cancelled or stopped early. Use NewSession and
-// Session.Enumerate, which cache the preprocessing across queries and
-// accept a context.Context and a stop-capable Visitor.
-func Enumerate(g *Graph, opts Options, emit func(clique []int32)) (*Stats, error) {
-	return core.Enumerate(g, opts, emit)
-}
-
-// Count returns the number of maximal cliques without materialising them.
-//
-// Deprecated: use NewSession and Session.Count.
-func Count(g *Graph, opts Options) (int64, *Stats, error) { return core.Count(g, opts) }
-
-// Collect returns every maximal clique as a fresh slice. Convenient for
-// small graphs; large graphs should stream through Enumerate.
-//
-// Deprecated: use NewSession and Session.Collect.
-func Collect(g *Graph, opts Options) ([][]int32, *Stats, error) { return core.Collect(g, opts) }
-
 // Profile captures the structural parameters the paper's analysis depends
 // on: the degeneracy δ, the truss parameter τ, the edge density ρ = m/n and
 // the h-index.
@@ -259,43 +236,6 @@ func GenerateSBM(communities, size int, pIn, pOut float64, seed int64) *Graph {
 
 // GenerateMoonMoser returns the 3^s-maximal-clique worst-case family.
 func GenerateMoonMoser(s int) *Graph { return gen.MoonMoser(s) }
-
-// EnumerateParallel is Enumerate with the top-level branches distributed
-// over up to `workers` goroutines (0 = Options.Workers, then GOMAXPROCS).
-// A dynamic work queue hands out branch chunks — large while the queue is
-// full, single branches toward the skewed tail of the ordering — and each
-// worker buffers its cliques, flushing batches of Options.EmitBatchSize to
-// emit under one lock. emit is therefore never called concurrently, but
-// cliques arrive in nondeterministic order and slightly after discovery.
-//
-// Every ordered algorithm parallelises, including HBBMC at any
-// SwitchDepth; only whole-graph BK/BKPivot fall back to the sequential
-// driver. Stats.Workers records the effective worker count and
-// Stats.ParallelFallback the fallback reason, if any.
-//
-// Deprecated: the positional workers argument is folded into
-// Options.Workers. Use NewSession and Session.Enumerate (or
-// Session.EnumerateParallel), which also cache the preprocessing across
-// queries and accept a context.Context and a stop-capable Visitor.
-func EnumerateParallel(g *Graph, opts Options, workers int, emit func(clique []int32)) (*Stats, error) {
-	return core.EnumerateParallel(g, opts, workers, emit)
-}
-
-// CountParallel is Count on the parallel driver: it returns the number of
-// maximal cliques without materialising them, using up to `workers`
-// goroutines (0 = Options.Workers, then GOMAXPROCS).
-//
-// Deprecated: set Options.Workers and use NewSession with Session.Count.
-func CountParallel(g *Graph, opts Options, workers int) (int64, *Stats, error) {
-	stats, err := core.EnumerateParallel(g, opts, workers, nil)
-	if err != nil {
-		if stats != nil {
-			return stats.Cliques, stats, err
-		}
-		return 0, nil, err
-	}
-	return stats.Cliques, stats, nil
-}
 
 // ListKCliques emits every k-clique of g exactly once via the edge-oriented
 // EBBkC strategy ([19]) that HBBMC's top level is built on, and returns the

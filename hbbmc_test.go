@@ -1,11 +1,22 @@
 package hbbmc_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	hbbmc "github.com/graphmining/hbbmc"
 )
+
+// countOnce counts g's maximal cliques through a throwaway session, so
+// every call pays the preprocessing.
+func countOnce(g *hbbmc.Graph, opts hbbmc.Options) (int64, *hbbmc.Stats, error) {
+	sess, err := hbbmc.NewSession(g, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	return sess.Count(context.Background())
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	b := hbbmc.NewBuilder(5)
@@ -16,10 +27,11 @@ func TestQuickstartFlow(t *testing.T) {
 	b.AddEdge(3, 4)
 	g := b.MustBuild()
 
-	var cliques [][]int32
-	stats, err := hbbmc.Enumerate(g, hbbmc.DefaultOptions(), func(c []int32) {
-		cliques = append(cliques, append([]int32(nil), c...))
-	})
+	sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliques, stats, err := sess.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +45,7 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestAllPublicAlgorithmsAgree(t *testing.T) {
 	g := hbbmc.GenerateSBM(4, 12, 0.6, 0.05, 17)
-	want, _, err := hbbmc.Count(g, hbbmc.Options{Algorithm: hbbmc.BKDegen})
+	want, _, err := countOnce(g, hbbmc.Options{Algorithm: hbbmc.BKDegen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +53,7 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 		hbbmc.BK, hbbmc.BKPivot, hbbmc.BKRef, hbbmc.BKDegree,
 		hbbmc.BKRcd, hbbmc.BKFac, hbbmc.EBBMC, hbbmc.HBBMC,
 	} {
-		got, _, err := hbbmc.Count(g, hbbmc.Options{Algorithm: algo, ET: 3, GR: true})
+		got, _, err := countOnce(g, hbbmc.Options{Algorithm: algo, ET: 3, GR: true})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -57,7 +69,7 @@ func TestLoadEdgeListAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	n, _, err := countOnce(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestProfileAndCondition(t *testing.T) {
 
 func TestMoonMoserWorstCase(t *testing.T) {
 	g := hbbmc.GenerateMoonMoser(5)
-	n, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	n, _, err := countOnce(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +122,11 @@ func TestCountOnGeneratedModels(t *testing.T) {
 	er := hbbmc.GenerateER(500, 2500, 9)
 	ba := hbbmc.GenerateBA(500, 5, 9)
 	for name, g := range map[string]*hbbmc.Graph{"er": er, "ba": ba} {
-		a, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+		a, _, err := countOnce(g, hbbmc.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, _, err := hbbmc.Count(g, hbbmc.Options{Algorithm: hbbmc.BKRcd, GR: true})
+		b, _, err := countOnce(g, hbbmc.Options{Algorithm: hbbmc.BKRcd, GR: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -126,7 +138,7 @@ func TestCountOnGeneratedModels(t *testing.T) {
 
 func TestInvalidOptionsSurface(t *testing.T) {
 	g := hbbmc.GenerateER(10, 20, 1)
-	if _, err := hbbmc.Enumerate(g, hbbmc.Options{Algorithm: hbbmc.HBBMC, ET: 7}, nil); err == nil {
+	if _, err := hbbmc.NewSession(g, hbbmc.Options{Algorithm: hbbmc.HBBMC, ET: 7}); err == nil {
 		t.Error("invalid ET must be rejected")
 	}
 }

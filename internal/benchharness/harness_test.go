@@ -2,6 +2,7 @@ package benchharness
 
 import (
 	"bytes"
+	"context"
 	"github.com/graphmining/hbbmc/internal/core"
 	"github.com/graphmining/hbbmc/internal/dataset"
 	"strconv"
@@ -82,14 +83,19 @@ func TestHybridCallReduction(t *testing.T) {
 	}
 	spec, _ := dataset.ByName("DG")
 	g := spec.Build()
-	_, hs, err := core.Count(g, hbbmcPP())
-	if err != nil {
-		t.Fatal(err)
+	count := func(opts core.Options) *core.Stats {
+		t.Helper()
+		s, err := core.NewSession(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := s.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
 	}
-	_, ds, err := core.Count(g, rDegen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs, ds := count(hbbmcPP()), count(rDegen())
 	if hs.Cliques != ds.Cliques {
 		t.Fatalf("count mismatch: %d vs %d", hs.Cliques, ds.Cliques)
 	}

@@ -3,8 +3,10 @@ package core
 // Ablation switches for the engineering decisions layered on top of the
 // paper's algorithms. They exist so the benchmark suite can measure each
 // optimisation's contribution (see ablation_bench_test.go); all default to
-// false (optimisation enabled) and are only mutated from benchmarks, which
-// run sequentially.
+// false (optimisation enabled). Only test code mutates them — the ablation
+// benchmarks and the equivalence tests TestAblatedPathsStillCorrect and
+// TestCostOrderEquivalence — and none of those run in parallel, so the
+// plain globals are never written concurrently.
 var (
 	// ablateTinyBranch disables the inline resolution of top-level edge
 	// branches with at most two common neighbors.
@@ -18,16 +20,6 @@ var (
 	// ablateXDomination disables the exclusion-dominator subtree prune in
 	// the pivot recursion.
 	ablateXDomination bool
-	// ablateStaticStride reverts EnumerateParallel to the legacy static
-	// modulo striding with one emit-lock round-trip per clique, the
-	// baseline the dynamic scheduler and batched emit are measured against.
-	ablateStaticStride bool
-	// ablateUnfusedKernels reverts the hot recursion scans to their
-	// composed, per-bit forms: First/NextAfter iteration instead of the
-	// word iterator, separate intersect-then-count passes instead of the
-	// fused kernels, and BK_Rcd's full per-step degree rescan instead of
-	// incremental count maintenance.
-	ablateUnfusedKernels bool
 	// ablateCostOrder disables the descending-cost ordering of top-level
 	// branches in the parallel scheduler, reverting to raw edge/vertex
 	// ordering positions.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,6 +19,27 @@ func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// sessionCount counts g's maximal cliques through a fresh session at the
+// given worker count; workers 1 pins the sequential driver.
+func sessionCount(g *graph.Graph, opts Options, workers int) (int64, *Stats, error) {
+	opts.Workers = workers
+	s, err := NewSession(g, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	return s.Count(context.Background())
+}
+
+// sessionCollect is sessionCount returning the cliques themselves.
+func sessionCollect(g *graph.Graph, opts Options, workers int) ([][]int32, *Stats, error) {
+	opts.Workers = workers
+	s, err := NewSession(g, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Collect(context.Background())
+}
+
 // allAlgorithms is the full framework grid.
 var allAlgorithms = []Algorithm{BK, BKPivot, BKRef, BKDegen, BKDegree, BKRcd, BKFac, EBBMC, HBBMC}
 
@@ -25,7 +47,7 @@ var allAlgorithms = []Algorithm{BK, BKPivot, BKRef, BKDegen, BKDegree, BKRcd, BK
 // the result matches the reference exactly.
 func checkAgainstReference(t *testing.T, label string, g *graph.Graph, opts Options, want [][]int32) {
 	t.Helper()
-	got, stats, err := Collect(g, opts)
+	got, stats, err := sessionCollect(g, opts, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -173,11 +195,11 @@ func TestStructuredGenerators(t *testing.T) {
 
 func TestCountMatchesCollect(t *testing.T) {
 	g := gen.ER(80, 400, 9)
-	count, stats, err := Count(g, Defaults())
+	count, stats, err := sessionCount(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliques, _, err := Collect(g, Defaults())
+	cliques, _, err := sessionCollect(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +223,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Algorithm: HBBMC, GRMaxDegree: -1},
 	}
 	for i, opts := range bad {
-		if _, err := Enumerate(g, opts, nil); err == nil {
+		if _, err := NewSession(g, opts); err == nil {
 			t.Errorf("options %d should be rejected: %+v", i, opts)
 		}
 	}
@@ -210,19 +232,19 @@ func TestOptionsValidation(t *testing.T) {
 func TestWholeGraphGuard(t *testing.T) {
 	g := gen.Path(50)
 	opts := Options{Algorithm: BKPivot, MaxWholeGraphVertices: 10}
-	if _, err := Enumerate(g, opts, nil); err == nil {
+	if _, err := NewSession(g, opts); err == nil {
 		t.Error("whole-graph guard should reject large graphs")
 	}
 	// With GR the path reduces away entirely, so the guard passes.
 	opts.GR = true
-	if _, err := Enumerate(g, opts, nil); err != nil {
+	if _, err := NewSession(g, opts); err != nil {
 		t.Errorf("reduced graph should fit the guard: %v", err)
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	g := gen.NoisyCliques(60, 8, 8, 60, 11)
-	_, stats, err := Count(g, Options{Algorithm: HBBMC, ET: 3})
+	_, stats, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +260,7 @@ func TestStatsCounters(t *testing.T) {
 	if stats.Tau <= 0 {
 		t.Error("truss parameter should be positive on a clique-planted graph")
 	}
-	_, statsOff, err := Count(g, Options{Algorithm: HBBMC, ET: 0})
+	_, statsOff, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,16 +273,21 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestEmitBufferIsReused(t *testing.T) {
-	// The emit callback's slice must be copied by callers that retain it;
+	// The visitor's slice must be copied by callers that retain it;
 	// verify the engine actually reuses the buffer (documented behaviour).
 	g := gen.Complete(4)
+	s, err := NewSession(g, Options{Algorithm: BKDegen, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first []int32
 	calls := 0
-	_, err := Enumerate(g, Options{Algorithm: BKDegen}, func(c []int32) {
+	_, err = s.Enumerate(context.Background(), func(c []int32) bool {
 		if calls == 0 {
 			first = c
 		}
 		calls++
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,72 +1,5 @@
 package core
 
-import (
-	"context"
-
-	"github.com/graphmining/hbbmc/internal/graph"
-)
-
-// adaptEmit lifts a legacy fire-and-forget callback to a Visitor.
-func adaptEmit(emit func([]int32)) Visitor {
-	if emit == nil {
-		return nil
-	}
-	return func(c []int32) bool {
-		emit(c)
-		return true
-	}
-}
-
-// Enumerate runs the configured algorithm over g and calls emit once per
-// maximal clique with the clique's vertex ids (the slice is reused between
-// calls — copy it to retain it). emit may be nil to count only. Returns the
-// run's statistics.
-//
-// Deprecated: Enumerate redoes the O(δm) preprocessing on every call and
-// cannot be cancelled. Use NewSession and Session.Enumerate, which cache
-// the preprocessing and accept a context and a stop-capable Visitor.
-func Enumerate(g *graph.Graph, opts Options, emit func([]int32)) (*Stats, error) {
-	s, err := NewSession(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	seqOpts := s.opts
-	seqOpts.Workers = 1
-	stats, err := s.enumerate(context.Background(), seqOpts, adaptEmit(emit))
-	stats.OrderingTime = s.prepTime
-	return stats, err
-}
-
-// Count enumerates without reporting cliques and returns their number.
-//
-// Deprecated: use NewSession and Session.Count.
-func Count(g *graph.Graph, opts Options) (int64, *Stats, error) {
-	stats, err := Enumerate(g, opts, nil)
-	if err != nil {
-		if stats != nil {
-			return stats.Cliques, stats, err
-		}
-		return 0, nil, err
-	}
-	return stats.Cliques, stats, nil
-}
-
-// Collect returns all maximal cliques as freshly allocated slices. Intended
-// for tests and small graphs; production callers should stream through a
-// Visitor.
-//
-// Deprecated: use NewSession and Session.Collect.
-func Collect(g *graph.Graph, opts Options) ([][]int32, *Stats, error) {
-	var out [][]int32
-	stats, err := Enumerate(g, opts, func(c []int32) {
-		out = append(out, append([]int32(nil), c...))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stats, nil
-}
-
 // runWholeGraph evaluates the entire residual graph as a single branch
 // (S=∅, C=V, X=∅) — the shape of the original BK and BK_Pivot algorithms.
 // Being one branch, it is also the cancellation granule: a context
@@ -95,7 +28,7 @@ func (e *engine) runWholeGraph() {
 // given ordering): each vertex v branches with C = later neighbors and
 // X = earlier neighbors, the universe being N(v).
 func (e *engine) runVertexOrdered(ord, pos []int32) {
-	e.runVertexOrderedRange(ord, pos, 0, len(ord), 1)
+	e.runVertexOrderedRange(ord, pos, 0, len(ord))
 }
 
 // runEdgeOrdered performs the edge-oriented top-level split of EBBMC/HBBMC
@@ -105,7 +38,7 @@ func (e *engine) runVertexOrdered(ord, pos []int32) {
 // merging happens here; tiny branches (at most two candidates, empty
 // exclusion side) are resolved inline without materialising a universe.
 func (e *engine) runEdgeOrdered() {
-	e.runEdgeOrderedRange(0, len(e.eo.Order), 1)
+	e.runEdgeOrderedSched(nil, 0, len(e.eo.Order))
 	e.runIsolatedVertices()
 }
 

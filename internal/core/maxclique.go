@@ -375,9 +375,9 @@ func (s *Session) MaxClique(ctx context.Context, q QueryOptions) ([]int32, *Stat
 	requested := opts.Workers
 	workers := resolveWorkers(requested)
 	var stats *Stats
-	if workers <= 1 || sequentialFallback(opts, workers) != "" {
+	if fb := sequentialFallback(opts); workers <= 1 || fb != "" {
 		stats = s.runMaxCliqueSeq(rc, opts, mc)
-		if fb := sequentialFallback(opts, workers); fb != "" && workers > 1 {
+		if workers > 1 {
 			stats.ParallelFallback = fb
 		} else if requested > 1 || requested == UseAllCores {
 			stats.ParallelFallback = "single worker"

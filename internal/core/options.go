@@ -247,10 +247,7 @@ type Options struct {
 	// Workers selects the enumeration driver for Session queries: 0 or 1
 	// runs the sequential driver, n > 1 distributes the top-level branches
 	// over up to n goroutines (clamped to GOMAXPROCS), and UseAllCores (-1)
-	// uses one worker per core. The deprecated EnumerateParallel treats its
-	// positional workers argument as an override of this field (a ≤ 0
-	// argument there falls back to this field, then to all cores); the
-	// deprecated sequential Enumerate ignores it.
+	// uses one worker per core.
 	Workers int
 	// MaxCliques stops the run once this many maximal cliques have been
 	// reported (0 = unlimited). A run that hits the cap returns ErrStopped

@@ -1,72 +1,12 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"github.com/graphmining/hbbmc/internal/graph"
-)
-
-// EnumerateParallel runs the configured algorithm with the top-level
-// branches distributed over worker goroutines. It is an extension beyond
-// the paper's (sequential) evaluation, exploiting the same property the
-// parallel MCE literature does: top-level branches of the ordered
-// frameworks are independent.
-//
-// Branches are handed out through a dynamic work queue (an atomic cursor
-// with guided chunking: large chunks while the queue is full, single
-// branches toward the skewed tail of the truss/degeneracy order), so a
-// worker that draws a cheap region keeps pulling work instead of idling —
-// the load imbalance that static striding suffers on power-law graphs.
-//
-// emit is called from multiple goroutines but never concurrently; each
-// worker buffers its cliques and flushes them in batches under one lock
-// (Options.EmitBatchSize), so the clique order is nondeterministic and a
-// clique may be reported a short time after it was found. Workers resolve
-// as workers arg > Options.Workers > GOMAXPROCS, clamped to GOMAXPROCS.
-//
-// All ordered algorithms parallelise, including HBBMC at any SwitchDepth;
-// only the whole-graph algorithms (BK, BKPivot) consist of a single
-// top-level branch and fall back to the sequential driver. The effective
-// worker count and any fallback reason are recorded in Stats.Workers and
-// Stats.ParallelFallback.
-//
-// Deprecated: the positional workers argument is folded into
-// Options.Workers. Use NewSession and Session.Enumerate (or
-// Session.EnumerateParallel), which also cache the preprocessing across
-// queries and accept a context and a stop-capable Visitor.
-func EnumerateParallel(g *graph.Graph, opts Options, workers int, emit func([]int32)) (*Stats, error) {
-	if workers <= 0 {
-		workers = opts.Workers
-	}
-	if workers <= 0 {
-		// Legacy contract: with no explicit count anywhere, use all cores.
-		workers = UseAllCores
-	}
-	s, err := NewSession(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	parOpts := s.opts
-	parOpts.Workers = workers
-	stats, err := s.enumerate(context.Background(), parOpts, adaptEmit(emit))
-	stats.OrderingTime = s.prepTime
-	if workers == 1 && stats.ParallelFallback == "" {
-		// An explicit workers=1 request through this parallel entry point is
-		// a recorded fallback, not a silent one.
-		stats.ParallelFallback = "single worker"
-	}
-	return stats, err
-}
+import "fmt"
 
 // sequentialFallback returns the reason a parallel query must delegate to
 // the sequential driver, or "" when the parallel scheduler applies.
-func sequentialFallback(opts Options, workers int) string {
+func sequentialFallback(opts Options) string {
 	if opts.Algorithm == BK || opts.Algorithm == BKPivot {
 		return fmt.Sprintf("%v runs as a single whole-graph branch", opts.Algorithm)
-	}
-	if workers == 1 {
-		return "single worker"
 	}
 	return ""
 }
@@ -95,10 +35,9 @@ func configureEngine(e *engine, opts Options) {
 }
 
 // runVertexOrderedRange is the ordered top-level split (Eq. 1) restricted
-// to ordering positions begin, begin+stride, ... below end. The sequential
-// driver passes the whole range, the dynamic scheduler contiguous chunks
-// (stride 1), and the static-stride ablation the legacy modulo slicing.
-// Cancellation and early stops are observed once per top-level branch.
+// to ordering positions [begin, end). The sequential driver passes the
+// whole range, the dynamic scheduler one position at a time. Cancellation
+// and early stops are observed once per top-level branch.
 //
 // Each branch universe is laid out candidates-first (later neighbors of v,
 // then earlier ones), mirroring the edge-oriented top level: exclusion
@@ -108,8 +47,8 @@ func configureEngine(e *engine, opts Options) {
 // branch is recursion-heavy enough for pivot quality to pay for them.
 //
 //hbbmc:ctxpoll
-func (e *engine) runVertexOrderedRange(ord, pos []int32, begin, end, stride int) {
-	for i := begin; i < end; i += stride {
+func (e *engine) runVertexOrderedRange(ord, pos []int32, begin, end int) {
+	for i := begin; i < end; i++ {
 		if e.rc.halted() {
 			return
 		}
@@ -147,20 +86,6 @@ func (e *engine) runVertexOrderedRange(ord, pos []int32, begin, end, stride int)
 	}
 }
 
-// runEdgeOrderedRange processes edge-order positions begin, begin+stride,
-// ... below end and leaves isolated vertices to the caller. Cancellation
-// and early stops are observed once per top-level branch.
-//
-//hbbmc:ctxpoll
-func (e *engine) runEdgeOrderedRange(begin, end, stride int) {
-	for i := begin; i < end; i += stride {
-		if e.rc.halted() {
-			return
-		}
-		e.runEdgeBranch(e.eo.Order[i])
-	}
-}
-
 // runEdgeOrderedSched processes the edge-order positions sched[begin:end]
 // (raw positions [begin, end) when sched is nil) — the cost-ordered variant
 // the dynamic scheduler feeds with contiguous chunks.
@@ -191,7 +116,7 @@ func (e *engine) runVertexOrderedSched(ord, pos, sched []int32, begin, end int) 
 		if sched != nil {
 			p = int(sched[i])
 		}
-		e.runVertexOrderedRange(ord, pos, p, p+1, 1)
+		e.runVertexOrderedRange(ord, pos, p, p+1)
 	}
 }
 

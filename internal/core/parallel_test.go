@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,13 +9,12 @@ import (
 	"testing"
 
 	"github.com/graphmining/hbbmc/internal/gen"
-	"github.com/graphmining/hbbmc/internal/graph"
 	"github.com/graphmining/hbbmc/internal/verify"
 )
 
 // withProcs raises GOMAXPROCS to n for the duration of the test, so the
 // multi-worker scheduler paths are exercised even on single-core CI
-// machines (EnumerateParallel clamps workers to GOMAXPROCS).
+// machines (queries clamp Options.Workers to GOMAXPROCS).
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	if old := runtime.GOMAXPROCS(0); old < n {
@@ -33,10 +33,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for _, algo := range []Algorithm{BKDegen, BKRcd, BKFac, BKRef, BKDegree, EBBMC, HBBMC} {
 			for _, workers := range []int{2, 4} {
 				opts := Options{Algorithm: algo, ET: 3, GR: iter%2 == 0}
-				var got [][]int32
-				stats, err := EnumerateParallel(g, opts, workers, func(c []int32) {
-					got = append(got, append([]int32(nil), c...))
-				})
+				got, stats, err := sessionCollect(g, opts, workers)
 				if err != nil {
 					t.Fatalf("iter %d %v w=%d: %v", iter, algo, workers, err)
 				}
@@ -54,7 +51,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelFallsBackForWholeGraph(t *testing.T) {
 	g := gen.Complete(6)
-	n, _, err := countParallel(g, Options{Algorithm: BKPivot}, 4)
+	n, _, err := sessionCount(g, Options{Algorithm: BKPivot}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +65,7 @@ func TestParallelDeepSwitchRunsParallel(t *testing.T) {
 	g := gen.NoisyCliques(60, 6, 7, 50, 5)
 	for _, depth := range []int{2, 3} {
 		opts := Options{Algorithm: HBBMC, SwitchDepth: depth, ET: 3}
-		a, ps, err := countParallel(g, opts, 2)
+		a, ps, err := sessionCount(g, opts, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +75,7 @@ func TestParallelDeepSwitchRunsParallel(t *testing.T) {
 		if ps.Workers != 2 {
 			t.Fatalf("d=%d ran %d workers, want 2", depth, ps.Workers)
 		}
-		b, _, err := Count(g, opts)
+		b, _, err := sessionCount(g, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +87,7 @@ func TestParallelDeepSwitchRunsParallel(t *testing.T) {
 
 // TestParallelWorkerCountEquivalence is the cross-worker-count grid: every
 // parallelisable algorithm (including deep-switch HBBMC) must produce the
-// exact clique set of the sequential driver at 1, 2 and 8 workers.
+// exact reference clique set at 1, 2 and 8 workers.
 func TestParallelWorkerCountEquivalence(t *testing.T) {
 	withProcs(t, 8)
 	g := gen.NoisyCliques(300, 24, 9, 700, 42)
@@ -108,16 +105,10 @@ func TestParallelWorkerCountEquivalence(t *testing.T) {
 		{"HBBMC_d2", Options{Algorithm: HBBMC, SwitchDepth: 2, ET: 3, GR: true}},
 		{"HBBMC_d3", Options{Algorithm: HBBMC, SwitchDepth: 3, ET: 3}},
 	}
+	want := referenceFor(g)
 	for _, cfg := range configs {
-		want, _, err := Collect(g, cfg.opts)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", cfg.name, err)
-		}
 		for _, workers := range []int{1, 2, 8} {
-			var got [][]int32
-			stats, err := EnumerateParallel(g, cfg.opts, workers, func(c []int32) {
-				got = append(got, append([]int32(nil), c...))
-			})
+			got, stats, err := sessionCollect(g, cfg.opts, workers)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", cfg.name, workers, err)
 			}
@@ -136,7 +127,7 @@ func TestParallelStatsObservability(t *testing.T) {
 	g := gen.NoisyCliques(120, 10, 8, 200, 9)
 
 	// Whole-graph algorithms report why they fell back.
-	stats, err := EnumerateParallel(g, Options{Algorithm: BKPivot}, 4, nil)
+	_, stats, err := sessionCount(g, Options{Algorithm: BKPivot}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,17 +135,8 @@ func TestParallelStatsObservability(t *testing.T) {
 		t.Fatalf("BKPivot: Workers=%d ParallelFallback=%q, want sequential fallback", stats.Workers, stats.ParallelFallback)
 	}
 
-	// A single-worker request is a recorded fallback, not a silent one.
-	stats, err = EnumerateParallel(g, Defaults(), 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ParallelFallback == "" || stats.Workers != 1 {
-		t.Fatalf("w=1: Workers=%d ParallelFallback=%q", stats.Workers, stats.ParallelFallback)
-	}
-
 	// Absurd worker counts are clamped to GOMAXPROCS — observably.
-	stats, err = EnumerateParallel(g, Defaults(), 1<<20, nil)
+	_, stats, err = sessionCount(g, Defaults(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +144,8 @@ func TestParallelStatsObservability(t *testing.T) {
 		t.Fatalf("w=1<<20: Workers=%d, want clamp to %d", stats.Workers, max)
 	}
 
-	// Options.Workers supplies the default when the argument is ≤ 0.
-	opts := Defaults()
-	opts.Workers = 2
-	stats, err = EnumerateParallel(g, opts, 0, nil)
+	// Options.Workers selects the parallel driver.
+	_, stats, err = sessionCount(g, Defaults(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +154,7 @@ func TestParallelStatsObservability(t *testing.T) {
 	}
 
 	// The sequential driver reports a single worker.
-	_, sstats, err := Count(g, Defaults())
+	_, sstats, err := sessionCount(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +171,14 @@ func TestParallelEmitNeverConcurrent(t *testing.T) {
 	g := gen.NoisyCliques(400, 40, 8, 900, 77)
 	opts := Defaults()
 	opts.EmitBatchSize = 2
+	opts.Workers = 8
+	s, err := NewSession(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var inEmit atomic.Int32
 	var emitted int64
-	stats, err := EnumerateParallel(g, opts, 8, func(c []int32) {
+	stats, err := s.Enumerate(context.Background(), func(c []int32) bool {
 		if n := inEmit.Add(1); n != 1 {
 			t.Errorf("emit entered concurrently (%d active)", n)
 		}
@@ -202,6 +187,7 @@ func TestParallelEmitNeverConcurrent(t *testing.T) {
 		}
 		emitted++
 		inEmit.Add(-1)
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,17 +205,15 @@ func TestParallelEmitNeverConcurrent(t *testing.T) {
 func TestParallelEmitBatchSizes(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(200, 18, 8, 400, 11)
-	want, _, err := Collect(g, Defaults())
+	want, _, err := sessionCollect(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 3, 256, 1 << 20} {
 		opts := Defaults()
 		opts.EmitBatchSize = batch
-		var got [][]int32
-		if _, err := EnumerateParallel(g, opts, 4, func(c []int32) {
-			got = append(got, append([]int32(nil), c...))
-		}); err != nil {
+		got, _, err := sessionCollect(g, opts, 4)
+		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
 		if d := verify.Diff(got, want); d != "" {
@@ -243,14 +227,14 @@ func TestParallelEmitBatchSizes(t *testing.T) {
 func TestParallelChunkSizes(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(200, 18, 8, 400, 12)
-	want, _, err := Count(g, Defaults())
+	want, _, err := sessionCount(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 5, 4096} {
 		opts := Defaults()
 		opts.ParallelChunkSize = chunk
-		got, _, err := countParallel(g, opts, 4)
+		got, _, err := sessionCount(g, opts, 4)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
@@ -263,11 +247,11 @@ func TestParallelChunkSizes(t *testing.T) {
 func TestParallelStatsMerged(t *testing.T) {
 	withProcs(t, 4)
 	g := gen.NoisyCliques(200, 20, 9, 400, 6)
-	_, ps, err := countParallel(g, Options{Algorithm: HBBMC, ET: 3, GR: true}, 4)
+	_, ps, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 3, GR: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ss, err := Count(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
+	_, ss, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 3, GR: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,23 +272,15 @@ func TestParallelStatsMerged(t *testing.T) {
 func TestParallelNilEmit(t *testing.T) {
 	withProcs(t, 3)
 	g := gen.ER(300, 1500, 7)
-	n, _, err := countParallel(g, Defaults(), 3)
+	n, _, err := sessionCount(g, Defaults(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := Count(g, Defaults())
+	m, _, err := sessionCount(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != m {
 		t.Fatalf("nil-emit parallel count %d != sequential %d", n, m)
 	}
-}
-
-func countParallel(g *graph.Graph, opts Options, workers int) (int64, *Stats, error) {
-	stats, err := EnumerateParallel(g, opts, workers, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return stats.Cliques, stats, nil
 }

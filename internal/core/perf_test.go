@@ -8,6 +8,7 @@ import (
 
 	"github.com/graphmining/hbbmc/internal/gen"
 	"github.com/graphmining/hbbmc/internal/reduce"
+	"github.com/graphmining/hbbmc/internal/verify"
 )
 
 // TestPairwiseCheaperNoOverflow is the regression test for the break-even
@@ -166,50 +167,29 @@ func TestBranchScheduleIsDescendingCostPermutation(t *testing.T) {
 	}
 }
 
-// TestCostOrderEquivalence cross-checks that the cost-ordered parallel
-// schedule enumerates exactly the cliques of the raw-order schedule.
+// TestCostOrderEquivalence checks that the cost-ordered parallel schedule
+// and the raw-order schedule both enumerate exactly the reference cliques.
 func TestCostOrderEquivalence(t *testing.T) {
+	withProcs(t, 4)
 	g := gen.NoisyCliques(300, 20, 8, 600, 11)
+	want := referenceFor(g)
 	for _, algo := range []Algorithm{HBBMC, EBBMC, BKDegen, BKRcd} {
-		opts := Options{Algorithm: algo, ET: 3, Workers: 4}
-		s, err := NewSession(g, opts)
+		opts := Options{Algorithm: algo, ET: 3}
+		got, _, err := sessionCollect(g, opts, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := s.Collect(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		if d := verify.Diff(got, want); d != "" {
+			t.Fatalf("%v cost order: %s", algo, d)
 		}
 		ablateCostOrder = true
-		s2, err := NewSession(g, opts)
-		if err != nil {
-			ablateCostOrder = false
-			t.Fatal(err)
-		}
-		got, _, err := s2.Collect(context.Background())
+		got, _, err = sessionCollect(g, opts, 4)
 		ablateCostOrder = false
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: cost-ordered run found %d cliques, raw order %d", algo, len(want), len(got))
-		}
-	}
-}
-
-// TestFusedKernelPathsMatchUnfused runs the cross-validation grid with the
-// fused word-parallel scans ablated, pinning the two implementations of
-// every hot scan to identical output.
-func TestFusedKernelPathsMatchUnfused(t *testing.T) {
-	ablateUnfusedKernels = true
-	defer func() { ablateUnfusedKernels = false }()
-	for _, seed := range []int64{1, 2, 3} {
-		g := gen.NoisyCliques(90, 9, 7, 90, seed)
-		want := referenceFor(g)
-		for _, algo := range []Algorithm{HBBMC, EBBMC, BKDegen, BKRef, BKRcd, BKFac} {
-			for _, et := range []int{0, 3} {
-				checkAgainstReference(t, "unfused", g, Options{Algorithm: algo, ET: et, GR: seed%2 == 0}, want)
-			}
+		if d := verify.Diff(got, want); d != "" {
+			t.Fatalf("%v raw order: %s", algo, d)
 		}
 	}
 }
@@ -245,29 +225,22 @@ func TestPhaseTimersPopulate(t *testing.T) {
 }
 
 // BenchmarkPivotScan isolates the fused pivot-selection scan on a dense
-// branch universe, with the unfused per-bit baseline alongside.
+// branch universe.
 func BenchmarkPivotScan(b *testing.B) {
 	g := gen.NoisyCliques(2000, 120, 11, 6000, 21)
-	run := func(b *testing.B, unfused bool) {
-		if unfused {
-			ablateUnfusedKernels = true
-			defer func() { ablateUnfusedKernels = false }()
-		}
-		want, _, err := Count(g, Options{Algorithm: BKDegen})
+	opts := Options{Algorithm: BKDegen}
+	want, _, err := sessionCount(g, opts, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := sessionCount(g, opts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, _, err := Count(g, Options{Algorithm: BKDegen})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got != want {
-				b.Fatalf("got %d cliques, want %d", got, want)
-			}
+		if got != want {
+			b.Fatalf("got %d cliques, want %d", got, want)
 		}
 	}
-	b.Run("fused", func(b *testing.B) { run(b, false) })
-	b.Run("unfused", func(b *testing.B) { run(b, true) })
 }

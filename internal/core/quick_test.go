@@ -30,7 +30,7 @@ func TestQuickHBBMCMatchesReference(t *testing.T) {
 	f := func(nRaw uint8, bits []byte) bool {
 		n := 1 + int(nRaw%18)
 		g := graphFromBits(n, bits)
-		got, _, err := Collect(g, Defaults())
+		got, _, err := sessionCollect(g, Defaults(), 1)
 		if err != nil {
 			return false
 		}
@@ -51,11 +51,11 @@ func TestQuickAlgorithmsAgreePairwise(t *testing.T) {
 		algos := []Algorithm{BKPivot, BKRef, BKDegen, BKDegree, BKRcd, BKFac, EBBMC, HBBMC}
 		algo := algos[int(algoRaw)%len(algos)]
 		opts := Options{Algorithm: algo, ET: int(etRaw % 4), GR: grRaw}
-		a, _, err := Count(g, opts)
+		a, _, err := sessionCount(g, opts, 1)
 		if err != nil {
 			return false
 		}
-		b, _, err := Count(g, Options{Algorithm: BKDegen})
+		b, _, err := sessionCount(g, Options{Algorithm: BKDegen}, 1)
 		if err != nil {
 			return false
 		}
@@ -73,11 +73,11 @@ func TestQuickStatsInvariants(t *testing.T) {
 	f := func(nRaw uint8, bits []byte) bool {
 		n := 1 + int(nRaw%20)
 		g := graphFromBits(n, bits)
-		_, withET, err := Count(g, Options{Algorithm: HBBMC, ET: 3, GR: true})
+		_, withET, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 3, GR: true}, 1)
 		if err != nil {
 			return false
 		}
-		_, noET, err := Count(g, Options{Algorithm: HBBMC, ET: 0, GR: true})
+		_, noET, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 0, GR: true}, 1)
 		if err != nil {
 			return false
 		}

@@ -134,9 +134,10 @@ func (s *emitSink) deliverLocked(c []int32) bool {
 	return true
 }
 
-// emitLocking delivers one clique, taking the sink lock itself — the
-// seed's per-clique locking, kept for the static-stride ablation. Unlike
-// the *Locked helpers it does not require the caller to hold the lock.
+// emitLocking delivers one clique, taking the sink lock itself — one lock
+// round-trip per clique, which suits only the uncontended phases direct()
+// serves. Unlike the *Locked helpers it does not require the caller to
+// hold the lock.
 func (s *emitSink) emitLocking(c []int32) bool {
 	s.mu.Lock()
 	ok := s.deliverLocked(c)

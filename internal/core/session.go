@@ -541,7 +541,7 @@ func (s *Session) enumerateRange(ctx context.Context, opts Options, rng branchRa
 			stats.ParallelFallback = "single worker"
 		}
 	default:
-		if reason := sequentialFallback(opts, workers); reason != "" {
+		if reason := sequentialFallback(opts); reason != "" {
 			stats = s.runSequential(rc, opts, rng, prog, visit)
 			stats.ParallelFallback = reason
 		} else {
@@ -698,11 +698,8 @@ func (s *Session) runParallel(rc *runControl, opts Options, workers int, rng bra
 	if rng.set {
 		lo, hi = rng.lo, rng.hi
 	}
-	var sched []int32
-	if !ablateStaticStride {
-		sched = s.branchSchedule()
-	}
-	ordered := visit != nil && !ablateStaticStride && (prog.ordered || prog.hook != nil)
+	sched := s.branchSchedule()
+	ordered := visit != nil && (prog.ordered || prog.hook != nil)
 	if prog.hook != nil || ordered {
 		// Residue first under a progress hook or ordered emission: the
 		// isolated-vertex pass moves ahead of the workers (the sink does not
@@ -748,9 +745,6 @@ func (s *Session) runParallel(rc *runControl, opts Options, workers int, rng bra
 		case oseq != nil:
 			writer = &orderedWriter{}
 			workerEmit = writer.add
-		case ablateStaticStride:
-			// Seed behavior under ablation: one lock round-trip per clique.
-			workerEmit = sink.emitLocking
 		default:
 			batcher = newEmitBatcher(sink, opts.EmitBatchSize)
 			workerEmit = batcher.add
@@ -758,43 +752,34 @@ func (s *Session) runParallel(rc *runControl, opts Options, workers int, rng bra
 		e := newEngine(s.res, s.red, opts, ws, workerEmit, rc)
 		configureEngine(e, opts)
 		e.eo, e.inc = s.eo, s.inc
-		offset := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ablateStaticStride {
-				if edgeDriven {
-					e.runEdgeOrderedRange(lo+offset, hi, workers)
-				} else {
-					e.runVertexOrderedRange(s.vertOrd, s.vertPos, lo+offset, hi, workers)
+			for !rc.halted() {
+				begin, end, ok := queue.next()
+				if !ok {
+					break
 				}
-			} else {
-				for !rc.halted() {
-					begin, end, ok := queue.next()
-					if !ok {
-						break
-					}
-					before := ws.Cliques
-					if writer != nil {
-						writer.cur = &orderedChunk{begin: begin, end: end}
-					}
-					if edgeDriven {
-						e.runEdgeOrderedSched(sched, begin, end)
-					} else {
-						e.runVertexOrderedSched(s.vertOrd, s.vertPos, sched, begin, end)
-					}
-					switch {
-					case oseq != nil:
-						oseq.complete(writer.cur)
-					case prog.hook != nil && !rc.stopped():
-						// Counting run: no delivery to sequence, so report
-						// each completed chunk as soon as its counts are
-						// certain. The hook consumer merges the intervals
-						// into a contiguous-prefix watermark itself.
-						hookMu.Lock()
-						prog.hook(begin, end, ws.Cliques-before, ws.MaxCliqueSize)
-						hookMu.Unlock()
-					}
+				before := ws.Cliques
+				if writer != nil {
+					writer.cur = &orderedChunk{begin: begin, end: end}
+				}
+				if edgeDriven {
+					e.runEdgeOrderedSched(sched, begin, end)
+				} else {
+					e.runVertexOrderedSched(s.vertOrd, s.vertPos, sched, begin, end)
+				}
+				switch {
+				case oseq != nil:
+					oseq.complete(writer.cur)
+				case prog.hook != nil && !rc.stopped():
+					// Counting run: no delivery to sequence, so report each
+					// completed chunk as soon as its counts are certain. The
+					// hook consumer merges the intervals into a
+					// contiguous-prefix watermark itself.
+					hookMu.Lock()
+					prog.hook(begin, end, ws.Cliques-before, ws.MaxCliqueSize)
+					hookMu.Unlock()
 				}
 			}
 			if batcher != nil {

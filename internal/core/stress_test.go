@@ -52,7 +52,7 @@ func TestStressGrid(t *testing.T) {
 func TestMaskedPathsExercised(t *testing.T) {
 	g := gen.NoisyCliques(120, 14, 9, 300, 33)
 
-	_, hd2, err := Count(g, Options{Algorithm: HBBMC, SwitchDepth: 2, ET: 3})
+	_, hd2, err := sessionCount(g, Options{Algorithm: HBBMC, SwitchDepth: 2, ET: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMaskedPathsExercised(t *testing.T) {
 		t.Error("SwitchDepth=2 must still reach the vertex phase")
 	}
 
-	_, he, err := Count(g, Options{Algorithm: EBBMC, ET: 3})
+	_, he, err := sessionCount(g, Options{Algorithm: EBBMC, ET: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMaskedPathsExercised(t *testing.T) {
 		t.Error("pure EBBMC must recurse on edges")
 	}
 
-	_, hgr, err := Count(g, Options{Algorithm: HBBMC, GR: true, ET: 3})
+	_, hgr, err := sessionCount(g, Options{Algorithm: HBBMC, GR: true, ET: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMaskedPathsExercised(t *testing.T) {
 		t.Error("reduction should remove low-degree noise vertices")
 	}
 
-	_, h1, err := Count(g, Options{Algorithm: HBBMC, ET: 3})
+	_, h1, err := sessionCount(g, Options{Algorithm: HBBMC, ET: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,15 @@ func TestLargerSmoke(t *testing.T) {
 		t.Skip("large smoke test skipped in short mode")
 	}
 	g := gen.BA(3000, 8, 77)
-	c1, s1, err := Count(g, Defaults())
+	c1, s1, err := sessionCount(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _, err := Count(g, Options{Algorithm: BKDegen, GR: true})
+	c2, _, err := sessionCount(g, Options{Algorithm: BKDegen, GR: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3, _, err := Count(g, Options{Algorithm: BKRcd})
+	c3, _, err := sessionCount(g, Options{Algorithm: BKRcd}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestLargerSmoke(t *testing.T) {
 // too large for the reference enumerator's comfort.
 func TestEmittedCliquesAreValidOnMediumGraphs(t *testing.T) {
 	g := gen.SBM(gen.SBMConfig{Communities: 6, Size: 20, PIn: 0.5, POut: 0.02}, 55)
-	cliques, _, err := Collect(g, Defaults())
+	cliques, _, err := sessionCollect(g, Defaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

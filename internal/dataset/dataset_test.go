@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,14 +95,19 @@ func TestStructuralShapes(t *testing.T) {
 func TestEnumerableQuickly(t *testing.T) {
 	spec, _ := ByName("NA")
 	g := spec.Build()
-	c1, _, err := core.Count(g, core.Defaults())
-	if err != nil {
-		t.Fatal(err)
+	count := func(opts core.Options) int64 {
+		t.Helper()
+		s, err := core.NewSession(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := s.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	c2, _, err := core.Count(g, core.Options{Algorithm: core.BKDegen, GR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1, c2 := count(core.Defaults()), count(core.Options{Algorithm: core.BKDegen, GR: true})
 	if c1 != c2 || c1 == 0 {
 		t.Fatalf("count mismatch: hbbmc=%d degen=%d", c1, c2)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,73 @@ func TestMetricsPrometheus(t *testing.T) {
 		}
 		if !sort.StringsAreSorted(keys) {
 			t.Fatalf("JSON metric keys not sorted: %v", keys)
+		}
+	}
+}
+
+// TestMetricsJSONMatchesExposition pins the two /metrics renderings to one
+// another: on a quiescent server every mced_ counter and gauge sample of the
+// Prometheus exposition equals the ?format=json value of the same name, and
+// neither rendering has a key the other lacks.
+func TestMetricsJSONMatchesExposition(t *testing.T) {
+	e := newTestEnv(t, service.Config{})
+	e.registerGraph("er", hbbmc.GenerateER(300, 1500, 5))
+	for _, mode := range []string{"count", "enumerate"} {
+		v := e.startJob(map[string]any{"dataset": "er", "mode": mode})
+		if mode == "enumerate" {
+			streamJob(t, e, v.ID)
+		}
+		if got := e.waitJob(v.ID); got.State != service.StateDone {
+			t.Fatalf("%s job ended %s", mode, got.State)
+		}
+	}
+
+	_, data := e.do("GET", "/metrics", nil)
+	scalar := map[string]bool{} // mced_ families typed counter or gauge
+	prom := map[string]float64{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" &&
+			strings.HasPrefix(f[2], "mced_") && (f[3] == "counter" || f[3] == "gauge") {
+			scalar[f[2]] = true
+			continue
+		}
+		if f := strings.Fields(line); len(f) == 2 && scalar[f[0]] {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			prom[f[0]] = v
+		}
+	}
+	if len(prom) == 0 {
+		t.Fatal("exposition has no mced_ counter or gauge samples")
+	}
+	for name := range scalar {
+		if _, ok := prom[name]; !ok {
+			t.Errorf("family %s has no unlabelled sample", name)
+		}
+	}
+
+	_, data = e.do("GET", "/metrics?format=json", nil)
+	var js map[string]int64
+	if err := json.Unmarshal(data, &js); err != nil {
+		t.Fatalf("JSON metrics: %v\n%s", err, data)
+	}
+	if js["mced_jobs_done"] != 2 || js["mced_cliques_emitted"] == 0 {
+		t.Fatalf("jobs_done=%d cliques_emitted=%d after two finished jobs", js["mced_jobs_done"], js["mced_cliques_emitted"])
+	}
+	for name, v := range js {
+		pv, ok := prom[name]
+		switch {
+		case !ok:
+			t.Errorf("%s is in the JSON rendering only", name)
+		case pv != float64(v):
+			t.Errorf("%s: exposition %v, JSON %d", name, pv, v)
+		}
+	}
+	for name := range prom {
+		if _, ok := js[name]; !ok {
+			t.Errorf("%s is in the exposition only", name)
 		}
 	}
 }

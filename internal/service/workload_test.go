@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"net/http"
 	"slices"
 	"testing"
@@ -14,7 +15,11 @@ import (
 // ascending on the sorted vertices).
 func sortedCliques(t *testing.T, g *hbbmc.Graph) [][]int32 {
 	t.Helper()
-	all, _, err := hbbmc.Collect(g, hbbmc.DefaultOptions())
+	sess, err := hbbmc.NewSession(g, hbbmc.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := sess.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ var orderedAlgorithms = []hbbmc.Algorithm{
 
 func TestSessionReuseMatchesOneShot(t *testing.T) {
 	g := sessionTestGraph()
-	want, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	want, _, err := countOnce(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSessionReuseMatchesOneShot(t *testing.T) {
 			t.Fatalf("query %d: %v", q, err)
 		}
 		if n != want {
-			t.Fatalf("query %d counted %d cliques, one-shot Count found %d", q, n, want)
+			t.Fatalf("query %d counted %d cliques, a fresh session found %d", q, n, want)
 		}
 		if stats.OrderingTime != 0 {
 			t.Fatalf("query %d spent %v ordering; a session query must skip preprocessing", q, stats.OrderingTime)
@@ -167,7 +167,7 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 func TestMaxCliquesEquivalenceAcrossWorkers(t *testing.T) {
 	withTestProcs(t, 8)
 	g := sessionTestGraph()
-	total, _, err := hbbmc.Count(g, hbbmc.DefaultOptions())
+	total, _, err := countOnce(g, hbbmc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 	opts := hbbmc.DefaultOptions()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := hbbmc.Count(g, opts); err != nil {
+			if _, _, err := countOnce(g, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
